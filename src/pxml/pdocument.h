@@ -25,6 +25,7 @@
 #ifndef PXV_PXML_PDOCUMENT_H_
 #define PXV_PXML_PDOCUMENT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -222,7 +223,8 @@ class PDocument {
   /// differ by orders of magnitude in DP cost when one routes its matches
   /// through exp-heavy regions — cost models (rewrite/planner) charge this
   /// on top of live_size(). Zero for exp-free documents. Cached per uid();
-  /// one O(live_size) sweep to recompute after a mutation.
+  /// one O(live_size) sweep to recompute after a mutation. Safe for any
+  /// number of concurrent const callers: the per-uid memo is atomic.
   double ExpDpCost() const;
 
   /// Nearest ordinary proper ancestor, or kNullNode for the root.
@@ -292,9 +294,27 @@ class PDocument {
   void Stamp(NodeId n);
   static uint64_t NextUid();
 
+  // Per-uid ExpDpCost memo, written from a const method and so shared by
+  // concurrent readers. The cost is stored before the uid is published
+  // (release) and readers load the uid (acquire) before the cost, so a
+  // uid that matches always comes with its own cost. Copies carry the memo
+  // along, keeping PDocument a copyable value type.
+  struct ExpCostMemo {
+    std::atomic<uint64_t> uid{0};  // uid the cost is for; uids start at 1.
+    std::atomic<double> cost{0};
+
+    ExpCostMemo() = default;
+    ExpCostMemo(const ExpCostMemo& other) { *this = other; }
+    ExpCostMemo& operator=(const ExpCostMemo& other) {
+      const uint64_t u = other.uid.load(std::memory_order_acquire);
+      cost.store(other.cost.load());
+      uid.store(u, std::memory_order_release);
+      return *this;
+    }
+  };
+
   std::vector<PNode> nodes_;
-  mutable uint64_t exp_cost_uid_ = 0;  // uid the cached ExpDpCost is for.
-  mutable double exp_cost_ = 0;
+  mutable ExpCostMemo exp_cost_;
   uint64_t uid_ = NextUid();
   uint64_t structure_version_ = uid_;
   int detached_count_ = 0;

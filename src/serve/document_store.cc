@@ -139,6 +139,22 @@ bool TombstonesOutweighLive(const PDocument& d) {
   return double(d.detached_count()) * (2.0 + surcharge) > double(d.size());
 }
 
+// Publishes `mv` to snapshot readers: the handle aliases mv->ext and keeps
+// `mv` alive. Its deleter runs after the last copy is destroyed, so every
+// reader access through any copy happens before `*readers_done` turns true
+// and a writer that loads the flag with acquire may patch `mv` in place.
+// (A use_count() == 1 test would not do: that read orders nothing.)
+std::shared_ptr<const PDocument> ReaderHandle(
+    std::shared_ptr<MaterializedView> mv,
+    std::shared_ptr<std::atomic<bool>> readers_done) {
+  const PDocument* ext = &mv->ext;
+  return std::shared_ptr<const PDocument>(
+      ext, [mv = std::move(mv),
+            readers_done = std::move(readers_done)](const PDocument*) {
+        readers_done->store(true, std::memory_order_release);
+      });
+}
+
 }  // namespace
 
 DocumentStore::DocumentStore(ViewServer* server, DocumentStoreOptions options)
@@ -1032,8 +1048,7 @@ void DocumentStore::MaterializeLocked(DocState* state) {
   for (const NamedView& v : views) {
     ViewState& vs = state->views[v.name];
     if (!vs.dirty && vs.view != nullptr) {
-      (*snapshot)[v.name] = std::shared_ptr<const PDocument>(
-          vs.view, &vs.view->ext);
+      (*snapshot)[v.name] = vs.handle;
       views_clean_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
@@ -1051,7 +1066,8 @@ void DocumentStore::MaterializeLocked(DocState* state) {
     };
     std::shared_ptr<MaterializedView> target;
     if (options_.incremental && vs.view != nullptr) {
-      if (vs.spare != nullptr && vs.spare.use_count() == 1 &&
+      if (vs.spare != nullptr &&
+          vs.spare_readers_done->load(std::memory_order_acquire) &&
           !bloated(*vs.spare)) {
         // The retired buffer has no readers left: patch it in place (its
         // own results/versions describe the state it was built from, so
@@ -1066,17 +1082,23 @@ void DocumentStore::MaterializeLocked(DocState* state) {
       BuildViewExtensionDelta(state->doc, results, target.get(),
                               options_.extension_options);
       vs.spare = std::move(vs.view);
+      vs.spare_readers_done = std::move(vs.readers_done);
       vs.view = std::move(target);
       views_patched_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      vs.spare = nullptr;  // Compaction: drop any bloated buffer outright.
+      // Compaction: drop any bloated buffer outright.
+      vs.spare = nullptr;
+      vs.spare_readers_done = nullptr;
       vs.view = std::make_shared<MaterializedView>(BuildMaterializedView(
           state->doc, v.name, results, options_.extension_options));
       views_rebuilt_.fetch_add(1, std::memory_order_relaxed);
     }
     vs.dirty = false;
-    (*snapshot)[v.name] =
-        std::shared_ptr<const PDocument>(vs.view, &vs.view->ext);
+    // Replacing the handle drops the store's own copy of the old one, so
+    // only snapshots still hold the retired buffer.
+    vs.readers_done = std::make_shared<std::atomic<bool>>(false);
+    vs.handle = ReaderHandle(vs.view, vs.readers_done);
+    (*snapshot)[v.name] = vs.handle;
   }
   std::lock_guard<std::mutex> lock(state->snap_mu);
   state->snapshot = std::move(snapshot);

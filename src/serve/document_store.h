@@ -304,16 +304,21 @@ class DocumentStore {
 
  private:
   struct ViewState {
-    /// The published materialization (aliased into snapshots). Shared so
-    /// old snapshots keep the extension they reference alive after a newer
-    /// one is published.
+    /// The published materialization. Shared so old snapshots keep the
+    /// extension they reference alive after a newer one is published.
     std::shared_ptr<MaterializedView> view;
+    /// Snapshots reach view->ext only through copies of `handle`, whose
+    /// deleter sets `*readers_done` once the last copy is gone (see
+    /// ReaderHandle in document_store.cc).
+    std::shared_ptr<const PDocument> handle;
+    std::shared_ptr<std::atomic<bool>> readers_done;
     /// Double buffer: the previously published materialization, reused as
     /// the patch target once every snapshot referencing it is gone
-    /// (use_count == 1) — steady-state incremental materialization then
-    /// copies nothing at all. When old snapshots are still alive the store
-    /// falls back to copy-on-patch.
+    /// (*spare_readers_done) — steady-state incremental materialization
+    /// then copies nothing at all. When old snapshots are still alive the
+    /// store falls back to copy-on-patch.
     std::shared_ptr<MaterializedView> spare;
+    std::shared_ptr<std::atomic<bool>> spare_readers_done;
     bool dirty = true;
   };
 

@@ -1,7 +1,5 @@
 #include "serve/view_catalog.h"
 
-#include <utility>
-
 namespace pxv {
 
 std::shared_ptr<const QueryPlan> ViewCatalog::PlanFor(const Pattern& q) {
@@ -13,11 +11,9 @@ std::shared_ptr<const QueryPlan> ViewCatalog::PlanFor(const Pattern& q) {
   std::string key = std::to_string(rewriter_.Fingerprint());
   key += '\n';
   key += q.CanonicalString();
-  if (std::shared_ptr<const QueryPlan> plan = cache_.Lookup(key)) return plan;
-  // Compile outside the cache lock; a concurrent compile of the same query
-  // races benignly — Insert keeps the first plan and both callers use it.
-  auto plan = std::make_shared<const QueryPlan>(rewriter_.Compile(q));
-  return cache_.Insert(key, std::move(plan));
+  // Single-flight: concurrent first requests for this shape (a cold-cache
+  // fan-out across shards) wait for one compile instead of each running it.
+  return cache_.GetOrCompile(key, [&] { return rewriter_.Compile(q); });
 }
 
 }  // namespace pxv

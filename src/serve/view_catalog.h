@@ -4,7 +4,8 @@
 // shape), not of any particular shard, so one catalog serves every
 // ViewServer in a ShardedCorpus: the first shard to see a query shape pays
 // the exponential TPrewrite/TPIrewrite compile, every other shard hits the
-// shared cache. Plans are keyed on (registry fingerprint, canonical query)
+// shared cache — shards that ask while that compile runs wait for it
+// rather than compiling the shape again. Plans are keyed on (registry fingerprint, canonical query)
 // so a catalog can never serve a plan compiled against a different view
 // set.
 //
@@ -63,7 +64,8 @@ class ViewCatalog {
 
   /// The compiled plan for q: plan-cache lookup keyed on (registry
   /// fingerprint, canonical query string), compiling (TPrewrite +
-  /// TPIrewrite) only on a miss. Thread-safe.
+  /// TPIrewrite) only on a miss. Thread-safe; concurrent first requests
+  /// for one shape share a single compile (PlanCache::GetOrCompile).
   std::shared_ptr<const QueryPlan> PlanFor(const Pattern& q);
 
  private:

@@ -51,7 +51,8 @@ struct ViewServerOptions {
 
 /// Monotonic serving counters (one consistent snapshot per stats() call).
 /// plan_cache_hits/misses read the catalog's cache — shared totals when the
-/// catalog is shared across servers.
+/// catalog is shared across servers. A miss is exactly one plan compile; a
+/// request that joins a compile already in flight counts as a hit.
 struct ViewServerStats {
   int64_t queries = 0;           ///< Answer calls (AnswerAll counts each).
   int64_t plan_cache_hits = 0;
@@ -140,7 +141,8 @@ class ViewServer {
   std::shared_ptr<const ViewExtensions> extensions() const;
 
   /// The compiled plan for q — the catalog's shared (registry fingerprint,
-  /// query) keyed cache, compiling only on a miss.
+  /// query) keyed cache, compiling only on a miss (once per shape, however
+  /// many threads ask at once).
   std::shared_ptr<const QueryPlan> PlanFor(const Pattern& q) {
     return catalog_->PlanFor(q);
   }

@@ -478,13 +478,18 @@ TEST(DocumentStoreTest, ReadersKeepAnsweringDuringCheckpoints) {
   // A dedicated checkpointer overlapping the writer: Checkpoint() must
   // rotate the WAL and serialize documents while Apply commits and
   // readers resolve snapshots. The CAS guard turns self-overlap into a
-  // no-op; overlap with Apply is the interesting interleaving.
+  // no-op; overlap with Apply is the interesting interleaving. The first
+  // checkpoint is unconditional, so it is taken however late the thread is
+  // scheduled, and the writer waits until the checkpointer is running.
+  std::atomic<bool> started{false};
   std::atomic<bool> stop{false};
   std::thread checkpointer([&] {
-    while (!stop.load(std::memory_order_acquire)) {
+    started.store(true, std::memory_order_release);
+    do {
       ASSERT_TRUE((*store)->Checkpoint().ok());
-    }
+    } while (!stop.load(std::memory_order_acquire));
   });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
   Rng rng(97);
   for (int i = 0; i < 120; ++i) {
     const auto& [pid, initial] =

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <map>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "gen/paper.h"
 #include "prob/query_eval.h"
@@ -309,6 +313,88 @@ TEST(PlanCacheTest, InsertKeepsFirstPlanOnRace) {
   auto p2 = std::make_shared<const QueryPlan>();
   EXPECT_EQ(cache.Insert("k", p1), p1);
   EXPECT_EQ(cache.Insert("k", p2), p1);  // Second compile loses, reuses p1.
+}
+
+// Single-flight compiles: the compile is held until every requester has
+// arrived, so a cache that compiled outside its lock on each miss would run
+// it once per thread. Exactly one compile must run; the other callers wait
+// for it and count as hits.
+TEST(PlanCacheTest, ConcurrentFirstRequestsShareOneCompile) {
+  constexpr int kThreads = 8;
+  PlanCache cache(8);
+  std::atomic<int> arrived{0};
+  std::atomic<int> compiles{0};
+  const auto compile = [&] {
+    compiles.fetch_add(1);
+    while (arrived.load() < kThreads) std::this_thread::yield();
+    return QueryPlan();
+  };
+  std::vector<std::shared_ptr<const QueryPlan>> plans(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      plans[t] = cache.GetOrCompile("k", compile);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(compiles.load(), 1);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), kThreads - 1);
+  ASSERT_NE(plans[0], nullptr);
+  for (const auto& plan : plans) EXPECT_EQ(plan, plans[0]);
+}
+
+TEST(PlanCacheTest, ThrowingCompileLeavesNoInFlightEntry) {
+  PlanCache cache(8);
+  const auto fail = []() -> QueryPlan {
+    throw std::runtime_error("compile failed");
+  };
+  EXPECT_THROW(cache.GetOrCompile("k", fail), std::runtime_error);
+  EXPECT_EQ(cache.size(), 0u);
+  // The next request compiles afresh instead of joining the failed one.
+  int compiles = 0;
+  const auto compile = [&] {
+    ++compiles;
+    return QueryPlan();
+  };
+  const auto plan = cache.GetOrCompile("k", compile);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(compiles, 1);
+  EXPECT_EQ(cache.GetOrCompile("k", compile), plan);
+  EXPECT_EQ(compiles, 1);
+  EXPECT_EQ(cache.misses(), 2);
+  EXPECT_EQ(cache.hits(), 1);
+}
+
+TEST(PlanCacheTest, WaitersOfAThrowingCompileAreReleased) {
+  constexpr int kThreads = 8;
+  PlanCache cache(8);
+  std::atomic<int> arrived{0};
+  std::atomic<int> compiles{0};
+  const auto fail = [&]() -> QueryPlan {
+    compiles.fetch_add(1);
+    while (arrived.load() < kThreads) std::this_thread::yield();
+    throw std::runtime_error("compile failed");
+  };
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      arrived.fetch_add(1);
+      try {
+        cache.GetOrCompile("k", fail);
+      } catch (const std::runtime_error&) {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  // Every caller returns with the compile's error; none is left waiting.
+  EXPECT_EQ(failures.load(), kThreads);
+  EXPECT_EQ(cache.misses(), compiles.load());
+  EXPECT_EQ(cache.hits(), 0);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 }  // namespace
